@@ -76,6 +76,8 @@ from repro.workloads.queries import three_way_join
 
 DEFAULT_OUT = pathlib.Path("benchmarks/results/BENCH_perf.json")
 SCHEMA = 1
+#: the full suite's size (``--tuples``), at which CI gates the baseline
+DEFAULT_TUPLES = 60_000
 #: every metric in the file is a throughput: higher is better
 HIGHER_IS_BETTER = (
     "join_per_tuple_tuples_per_s",
@@ -501,7 +503,8 @@ def bench_elastic_scale() -> dict:
     }
 
 
-def bench_latency_overhead(*, n_pairs: int = 9, budget: float = 0.05) -> dict:
+def bench_latency_overhead(*, n_pairs: int = 9, duration: float = 600.0,
+                           budget: float = 0.05) -> dict:
     """CPU overhead of latency attribution (:mod:`repro.obs.slo`) on the
     columnar join deployment, hard-asserted below ``budget``.
 
@@ -517,6 +520,7 @@ def bench_latency_overhead(*, n_pairs: int = 9, budget: float = 0.05) -> dict:
     while single pairs swing by ±15 — and still shifts upward point-for-
     point with a real regression.  One re-measure absorbs the rare burst
     that covers most of a trial; a genuine overhead regression fails both.
+    ``n_pairs`` and the simulated ``duration`` of each run set the size.
     """
     from repro.bench.harness import run_experiment
     from repro.workloads.generator import WorkloadSpec
@@ -529,7 +533,7 @@ def bench_latency_overhead(*, n_pairs: int = 9, budget: float = 0.05) -> dict:
         with _quiesced():
             start = time.process_time()
             run_experiment(
-                "latency_overhead", workload, workers=2, duration=600.0,
+                "latency_overhead", workload, workers=2, duration=duration,
                 data_path="columnar", latency=latency,
             )
             return time.process_time() - start
@@ -556,14 +560,23 @@ def bench_latency_overhead(*, n_pairs: int = 9, budget: float = 0.05) -> dict:
 
 
 def run_benchmarks(
-    *, tuples: int = 60_000, batch_size: int = 50, repeats: int = 3
+    *, tuples: int = DEFAULT_TUPLES, batch_size: int = 50, repeats: int = 3
 ) -> dict:
     """Run the full suite; returns the ``BENCH_perf.json`` document.
 
     ``batch_size`` defaults to 50, matching the experiment harness
     (:func:`repro.bench.harness.run_experiment`) so the regress suite
     times the same delivery shape the experiments run with.
+
+    ``tuples`` and ``repeats`` size the whole suite.  The latency-overhead
+    pairs, the one scenario whose cost grows with its size, run
+    ``3 * repeats`` pairs of ``600 s * tuples / DEFAULT_TUPLES`` simulated
+    seconds (floored at 60 s, so the per-run set-up stays small against
+    the measured path); the defaults give its 9 pairs of 600 s.  The
+    folding, repartition and elastic scenarios take under a second each
+    and keep their fixed shapes, which their assertions depend on.
     """
+    scale = min(1.0, tuples / DEFAULT_TUPLES)
     metrics: dict = {}
     metrics.update(bench_join(tuples, batch_size, repeats))
     metrics.update(bench_spill(tuples // 2, batch_size, repeats))
@@ -573,7 +586,9 @@ def run_benchmarks(
     metrics.update(bench_folding())
     metrics.update(bench_repartition())
     metrics.update(bench_elastic_scale())
-    metrics.update(bench_latency_overhead())
+    metrics.update(bench_latency_overhead(
+        n_pairs=3 * repeats, duration=max(60.0, 600.0 * scale),
+    ))
     return {
         "schema": SCHEMA,
         "params": {
@@ -630,8 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.bench regress",
         description="Run the wall-clock regression micro-benchmarks.",
     )
-    parser.add_argument("--tuples", type=int, default=60_000,
-                        help="tuples through the join benchmark (default 60000)")
+    parser.add_argument("--tuples", type=int, default=DEFAULT_TUPLES,
+                        help="tuples through the join benchmark; smaller "
+                             "values also shorten the latency-overhead runs "
+                             f"(default {DEFAULT_TUPLES})")
     parser.add_argument("--batch-size", type=int, default=50,
                         help="tuples per delivered batch (default 50, the "
                              "experiment-harness delivery size)")

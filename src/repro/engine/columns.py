@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from repro.engine.partitions import GROUP_OVERHEAD_BYTES
 from repro.engine.tuples import JoinResult, StreamTuple
@@ -451,20 +451,21 @@ class ColumnarPartitionGroup:
                 count *= n
             return count, []
         index = self._ensure_index()
-        match_lists: list[list[StreamTuple]] = []
+        # the trigger sits in its own stream's slot, so product() yields
+        # complete parts tuples in join-input order
+        match_lists: list[Sequence[StreamTuple]] = []
         count = 1
-        for j in self._others[sid]:
+        for j in range(len(self.streams)):
+            if j == sid:
+                match_lists.append((tup,))
+                continue
             bucket = index[j].get(tup.key)
             if not bucket:
                 return 0, []
             count *= len(bucket)
             match_lists.append([self.tuple_at(r) for r in bucket])
-        results: list[JoinResult] = []
-        for combo in product(*match_lists):
-            parts = list(combo)
-            parts.insert(sid, tup)
-            results.append(JoinResult(key=tup.key, parts=tuple(parts), ts=tup.ts))
-        return count, results
+        key, ts = tup.key, tup.ts
+        return count, [JoinResult(key, parts, ts) for parts in product(*match_lists)]
 
     def probe_windowed_count(self, sid: int, key: int, ts: float,
                              window: float) -> int:

@@ -15,7 +15,10 @@ adaptation protocols, independent of any particular workload:
    at once.  Packing evicts it from the sender (it is *in flight* until
    the receiver installs), a crash evicts everything on the dead
    machine, and a recovery restore may only re-materialise state whose
-   owner is gone.
+   owner is gone.  A partition is a pid *within one query*: serving
+   runtimes prefix their machines with the query's namespace
+   (``q1:m1``), so the same pid on ``q1:m1`` and ``q2:m1`` names two
+   different partitions (checks 4 and 9 key partitions the same way).
 4. **Spill ↔ cleanup matching** — when a cleanup phase runs, every
    partition that ever spilled to disk is either merged exactly once or
    explicitly skipped (fewer than two parts on disk); nothing parked on
@@ -80,6 +83,22 @@ RELOCATION_STEPS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 #: Legal forward order of recovery session phases.
 RECOVERY_PHASE_ORDER = ("pausing", "restoring", "rerouting", "done")
+
+#: A partition namespace: (query namespace, pipeline stage).
+Scope = tuple[str, str]
+
+
+def _namespace(machine: str) -> str:
+    """Query namespace of a machine name: ``"q1"`` for a serving
+    runtime's ``"q1:m1"``, ``""`` for a standalone deployment's ``"m1"``."""
+    return machine.rpartition(":")[0]
+
+
+def _label(key: tuple[Scope, int]) -> str:
+    """Readable partition name for messages: ``q1:s2/7`` (namespace and
+    stage only when set)."""
+    (ns, stage), pid = key
+    return f"{ns + ':' if ns else ''}{stage + '/' if stage else ''}{pid}"
 
 
 @dataclass(frozen=True)
@@ -147,10 +166,12 @@ class InvariantChecker:
         self.violations: list[Violation] = []
         # machine -> pipeline stage label ("" for flat deployments)
         self._stage_of: dict[str, str] = {}
-        # (stage, pid) -> machine currently holding live state
-        self._resident: dict[tuple[str, int], str] = {}
-        # (span, stage, pid) -> sender, for state packed but not installed
-        self._in_flight: dict[tuple[int, str, int], str] = {}
+        # partitions are keyed (scope, pid), scope = (query namespace,
+        # stage); see _scope
+        # (scope, pid) -> machine currently holding live state
+        self._resident: dict[tuple[Scope, int], str] = {}
+        # (span, scope, pid) -> sender, for state packed but not installed
+        self._in_flight: dict[tuple[int, Scope, int], str] = {}
         self._dead: set[str] = set()
         # check 10: cluster membership as seen by the trace
         self._members: set[str] = set()
@@ -159,19 +180,23 @@ class InvariantChecker:
         self._relocations: dict[int, _RelocationState] = {}
         self._recoveries: dict[int, _RecoveryState] = {}
         self._repartitions: dict[int, _RepartitionState] = {}
-        # (stage, pid) -> spill count / merge count / skip count
-        self._spilled: dict[tuple[str, int], int] = {}
-        self._merged: dict[tuple[str, int], int] = {}
-        self._skipped: dict[tuple[str, int], int] = {}
-        # final routing refinement per stage: (stage, parent) -> children.
+        # (scope, pid) -> spill count / merge count
+        self._spilled: dict[tuple[Scope, int], int] = {}
+        self._merged: dict[tuple[Scope, int], int] = {}
+        # cleanup spans and skips carry no machine, so their namespace is
+        # resolved in finish() from the span's merges:
+        # span -> stage, span -> namespace, (span, stage, pid) skipped
+        self._cleanup_spans: dict[int, str] = {}
+        self._cleanup_ns: dict[int, str] = {}
+        self._skips: list[tuple[int, str, int]] = []
+        # final routing refinement per scope: (scope, parent) -> children.
         # A segment spilled under a later-split pid re-buckets to the
         # refinement's leaves during cleanup, so spill/cleanup matching
         # resolves pids through this trie.
-        self._refinement: dict[tuple[str, int], tuple[int, ...]] = {}
-        # (stage, child) -> parent for merged-away groups: a child's disk
+        self._refinement: dict[tuple[Scope, int], tuple[int, ...]] = {}
+        # (scope, child) -> parent for merged-away groups: a child's disk
         # bytes route to the surviving parent after the merge
-        self._merge_redirect: dict[tuple[str, int], int] = {}
-        self._cleanup_ran_stages: set[str] = set()
+        self._merge_redirect: dict[tuple[Scope, int], int] = {}
         # check 11: (machine, stream) -> (incarnation, watermark) last seen
         self._watermarks: dict[tuple[str, str], tuple[int, float]] = {}
         # spill/relocation begin events + slo.alert instants, kept for
@@ -186,6 +211,12 @@ class InvariantChecker:
 
     def _stage(self, machine: str, event: TraceEvent) -> str:
         return str(event.get("stage", self._stage_of.get(machine, "")))
+
+    def _scope(self, machine: str, event: TraceEvent) -> Scope:
+        """The partition namespace ``machine`` works in: its query
+        namespace (the serving prefix before ``:``, "" for a standalone
+        deployment) and its pipeline stage."""
+        return (_namespace(machine), self._stage(machine, event))
 
     # ------------------------------------------------------------------
     def feed(self, events: Iterable[TraceEvent]) -> None:
@@ -215,7 +246,7 @@ class InvariantChecker:
             elif e.name == "spill":
                 self._on_spill(e)
             elif e.name == "cleanup":
-                self._cleanup_ran_stages.add(str(e.get("stage", "")))
+                self._cleanup_spans[e.span or 0] = str(e.get("stage", ""))
         elif e.phase == PHASE_END:
             if e.span in self._relocations and e.name == "relocation":
                 state = self._relocations[e.span]
@@ -284,43 +315,43 @@ class InvariantChecker:
     # Residency bookkeeping (check 3)
     # ------------------------------------------------------------------
     def _on_assignment(self, e: TraceEvent) -> None:
-        stage = str(e.get("stage", ""))
-        self._stage_of[e.machine] = stage
+        self._stage_of[e.machine] = str(e.get("stage", ""))
+        scope = self._scope(e.machine, e)
         # the initial placement doubles as the founding membership roster
         self._members.add(e.machine)
         for pid in e.get("pids", ()):
-            key = (stage, int(pid))
+            key = (scope, int(pid))
             holder = self._resident.get(key)
             if holder is not None and holder != e.machine:
                 self._fail(
                     "single-residency",
-                    f"partition {key} initially assigned to both {holder!r} "
-                    f"and {e.machine!r}",
+                    f"partition {_label(key)} initially assigned to both "
+                    f"{holder!r} and {e.machine!r}",
                     e,
                 )
             self._resident[key] = e.machine
 
     def _on_pack(self, e: TraceEvent) -> None:
-        stage = self._stage(e.machine, e)
+        scope = self._scope(e.machine, e)
         span = e.span or 0
         for pid in e.get("pids", ()):
-            key = (stage, int(pid))
+            key = (scope, int(pid))
             if self._resident.get(key) == e.machine:
                 del self._resident[key]
-            self._in_flight[(span, stage, int(pid))] = e.machine
+            self._in_flight[(span, scope, int(pid))] = e.machine
 
     def _on_install(self, e: TraceEvent) -> None:
         self._check_ownership_target(e.machine, "installed", e)
-        stage = self._stage(e.machine, e)
+        scope = self._scope(e.machine, e)
         span = e.span or 0
         for pid in e.get("pids", ()):
-            key = (stage, int(pid))
-            self._in_flight.pop((span, stage, int(pid)), None)
+            key = (scope, int(pid))
+            self._in_flight.pop((span, scope, int(pid)), None)
             holder = self._resident.get(key)
             if holder is not None and holder != e.machine and holder not in self._dead:
                 self._fail(
                     "single-residency",
-                    f"partition {key} installed on {e.machine!r} while still "
+                    f"partition {_label(key)} installed on {e.machine!r} while still "
                     f"live on {holder!r}",
                     e,
                 )
@@ -337,14 +368,14 @@ class InvariantChecker:
 
     def _on_restore(self, e: TraceEvent) -> None:
         self._check_ownership_target(e.machine, "restored", e)
-        stage = self._stage(e.machine, e)
+        scope = self._scope(e.machine, e)
         for pid in e.get("installed", ()):
-            key = (stage, int(pid))
+            key = (scope, int(pid))
             holder = self._resident.get(key)
             if holder is not None and holder != e.machine and holder not in self._dead:
                 self._fail(
                     "single-residency",
-                    f"recovery restored partition {key} on {e.machine!r} while "
+                    f"recovery restored partition {_label(key)} on {e.machine!r} while "
                     f"still live on {holder!r}",
                     e,
                 )
@@ -448,26 +479,28 @@ class InvariantChecker:
     # Spill / cleanup matching (check 4)
     # ------------------------------------------------------------------
     def _on_spill(self, e: TraceEvent) -> None:
-        stage = self._stage(e.machine, e)
+        scope = self._scope(e.machine, e)
         for pid in e.get("pids", ()):
-            key = (stage, int(pid))
+            key = (scope, int(pid))
             self._spilled[key] = self._spilled.get(key, 0) + 1
 
     def _on_merge(self, e: TraceEvent) -> None:
-        stage = str(e.get("stage", ""))
-        key = (stage, int(e.get("pid", -1)))
+        ns = _namespace(e.machine)
+        self._cleanup_ns.setdefault(e.span or 0, ns)
+        key = ((ns, str(e.get("stage", ""))), int(e.get("pid", -1)))
         self._merged[key] = self._merged.get(key, 0) + 1
         if self._merged[key] > 1:
             self._fail(
                 "spill-cleanup",
-                f"partition {key} merged {self._merged[key]} times during cleanup",
+                f"partition {_label(key)} merged {self._merged[key]} times "
+                f"during cleanup",
                 e,
             )
 
     def _on_skip(self, e: TraceEvent) -> None:
-        stage = str(e.get("stage", ""))
-        key = (stage, int(e.get("pid", -1)))
-        self._skipped[key] = self._skipped.get(key, 0) + 1
+        self._skips.append(
+            (e.span or 0, str(e.get("stage", "")), int(e.get("pid", -1)))
+        )
 
     # ------------------------------------------------------------------
     # Recovery (checks 6 and 7)
@@ -550,7 +583,7 @@ class InvariantChecker:
         if state is None:
             return
         self._check_ownership_target(e.machine, "installed", e)
-        stage = self._stage(e.machine, e)
+        scope = self._scope(e.machine, e)
         pid = int(e.get("pid", -1))
         if pid not in state.expected_installs:
             self._fail(
@@ -559,12 +592,12 @@ class InvariantChecker:
                 f"not among its new group(s) {sorted(state.expected_installs)}",
                 e,
             )
-        key = (stage, pid)
+        key = (scope, pid)
         holder = self._resident.get(key)
         if holder is not None and holder != e.machine and holder not in self._dead:
             self._fail(
                 "single-residency",
-                f"repartition installed partition {key} on {e.machine!r} "
+                f"repartition installed partition {_label(key)} on {e.machine!r} "
                 f"while still live on {holder!r}",
                 e,
             )
@@ -572,7 +605,7 @@ class InvariantChecker:
         state.installs.add(pid)
         # the replaced group(s) dissolve with the rebuild on the owner
         for old in state.expected_retires:
-            okey = (stage, old)
+            okey = (scope, old)
             if self._resident.get(okey) == e.machine:
                 del self._resident[okey]
 
@@ -593,14 +626,14 @@ class InvariantChecker:
                 e,
             )
             return
-        stage = self._stage(e.machine, e)
+        scope = self._scope(e.machine, e)
         if kind == "split":
-            self._refinement[(stage, parent)] = children
-            self._merge_redirect.pop((stage, parent), None)
+            self._refinement[(scope, parent)] = children
+            self._merge_redirect.pop((scope, parent), None)
         else:
-            self._refinement.pop((stage, parent), None)
+            self._refinement.pop((scope, parent), None)
             for child in children:
-                self._merge_redirect[(stage, child)] = parent
+                self._merge_redirect[(scope, child)] = parent
 
     def _on_repartition_retire(self, e: TraceEvent) -> None:
         state = self._repartition_for(e)
@@ -780,40 +813,49 @@ class InvariantChecker:
         self.violations.extend(found)
         return found
 
-    def _routing_leaves(self, stage: str, pid: int) -> list[int]:
+    def _routing_leaves(self, scope: Scope, pid: int) -> list[int]:
         """Pids a partition's disk bytes resolve to under the final
         routing: itself when unrefined, otherwise the refinement leaves
         its keys re-bucket into during cleanup."""
-        while (stage, pid) in self._merge_redirect:
-            pid = self._merge_redirect[(stage, pid)]
-        children = self._refinement.get((stage, pid))
+        while (scope, pid) in self._merge_redirect:
+            pid = self._merge_redirect[(scope, pid)]
+        children = self._refinement.get((scope, pid))
         if children is None:
             return [pid]
         leaves: list[int] = []
         for child in children:
-            leaves.extend(self._routing_leaves(stage, child))
+            leaves.extend(self._routing_leaves(scope, child))
         return leaves
 
     def _finish_spill_cleanup(self) -> None:
-        if not self._cleanup_ran_stages:
+        if not self._cleanup_spans:
             return  # cleanup never ran; nothing to match against
+        # a cleanup span covers one deployment; its namespace is that of
+        # its merges ("" when it merged nothing)
+        ns_of = self._cleanup_ns
+        ran = {
+            (ns_of.get(span, ""), stage)
+            for span, stage in self._cleanup_spans.items()
+        }
+        handled = set(self._merged)
+        handled.update(
+            ((ns_of.get(span, ""), stage), pid) for span, stage, pid in self._skips
+        )
         for key in sorted(self._spilled):
-            stage, pid = key
-            if stage not in self._cleanup_ran_stages:
+            scope, pid = key
+            if scope not in ran:
                 continue
             # an unrefined pid must itself be merged or skipped; a refined
             # one re-buckets into its leaves, and only leaves that received
             # keys surface in cleanup, so any handled leaf discharges it
-            handled = any(
-                self._merged.get((stage, leaf))
-                or self._skipped.get((stage, leaf))
-                for leaf in self._routing_leaves(stage, pid)
-            )
-            if not handled:
+            if not any(
+                (scope, leaf) in handled
+                for leaf in self._routing_leaves(scope, pid)
+            ):
                 self._fail(
                     "spill-cleanup",
-                    f"partition {key} spilled {self._spilled[key]}x but cleanup "
-                    f"neither merged nor skipped it",
+                    f"partition {_label(key)} spilled {self._spilled[key]}x "
+                    f"but cleanup neither merged nor skipped it",
                 )
 
 

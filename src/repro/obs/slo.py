@@ -64,7 +64,9 @@ prefers victims of queries that are *meeting* their SLO.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.obs.sketch import BUCKET_BOUNDS, LatencySketch
@@ -281,11 +283,14 @@ class EngineTracker:
 
     def observe(self, t_run: float, credit: float, emit: float, *,
                 results=None, count: int = 0, ts_rep: float = 0.0) -> None:
-        """Record one credited batch: per result when materialized, one
-        weighted observation at the batch's max event time otherwise."""
+        """Record one credited batch: one weighted observation per
+        distinct trigger ts when materialized (every result of one probe
+        shares its trigger's ts, and ``record(v, n)`` adds exactly what
+        ``n`` unit records would), one weighted observation at the
+        batch's max event time otherwise."""
         if results:
-            for r in results:
-                self._observe_one(r.ts, t_run, credit, emit, 1)
+            for ts, n in Counter(map(attrgetter("ts"), results)).items():
+                self._observe_one(ts, t_run, credit, emit, n)
             return
         if count <= 0:
             return
@@ -387,9 +392,10 @@ class LatencyHub:
     enabled = True
 
     def __init__(self, *, materialize: bool = True) -> None:
-        #: record per-result latencies from materialized batches when True;
-        #: one weighted observation per batch otherwise (the O(1) mode the
-        #: overhead benchmark runs)
+        #: when True, record each materialized batch exactly, one weighted
+        #: observation per distinct trigger ts (results keep their own
+        #: trigger times); otherwise one weighted observation per batch at
+        #: its max event time (the O(1) mode the overhead benchmark runs)
         self.materialize = materialize
         self.trackers: dict[str, EngineTracker] = {}
         self.monitors: dict[str, SLOMonitor] = {}

@@ -20,6 +20,7 @@ from repro.cluster.faults import FaultSchedule, MachineCrash, MachineRestart
 from repro.cluster.machine import Machine
 from repro.cluster.simulation import Simulator
 from repro.engine.columns import ColumnBatch, ColumnarPartitionGroup
+from repro.engine.reference import reference_join, result_idents
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import StreamTuple
 from repro.obs.trace import Tracer
@@ -31,14 +32,15 @@ STREAMS = ("A", "B", "C")
 
 
 def synth_batches(n, *, batch_size=50, n_partitions=6, key_range=12, seed=3,
-                  ts_step=0.5, nonuniform=False, payloads=False):
+                  ts_step=0.5, nonuniform=False, payloads=False,
+                  streams=STREAMS):
     rng = random.Random(seed)
     batches, current = [], []
     for seq in range(n):
         key = rng.randrange(key_range)
         size = 64 + (rng.randrange(4) * 16 if nonuniform else 0)
         payload = (("v", seq),) if payloads and rng.random() < 0.25 else ()
-        tup = StreamTuple(stream=STREAMS[seq % 3], seq=seq, key=key,
+        tup = StreamTuple(stream=streams[seq % len(streams)], seq=seq, key=key,
                           ts=seq * ts_step, size=size, payload=payload)
         current.append((key % n_partitions, tup))
         if len(current) == batch_size:
@@ -49,9 +51,9 @@ def synth_batches(n, *, batch_size=50, n_partitions=6, key_range=12, seed=3,
     return batches
 
 
-def fresh_store(*, columnar=False):
+def fresh_store(*, columnar=False, streams=STREAMS):
     sim = Simulator()
-    return StateStore(Machine(sim, "m"), STREAMS, columnar=columnar)
+    return StateStore(Machine(sim, "m"), streams, columnar=columnar)
 
 
 def store_fingerprint(store):
@@ -81,10 +83,10 @@ def run_per_tuple(store, batches, **kwargs):
     return total, results
 
 
-def run_columnar(store, batches, **kwargs):
+def run_columnar(store, batches, *, streams=STREAMS, **kwargs):
     total, results = 0, []
     for batch in batches:
-        cb = ColumnBatch.from_routed(batch, STREAMS)
+        cb = ColumnBatch.from_routed(batch, streams)
         count, rs = store.probe_insert_columns(cb, **kwargs)
         total += count
         results.extend(rs)
@@ -136,6 +138,38 @@ class TestStoreColumnarEquivalence:
         assert total_b == total_a
         assert results_b == results_a  # same results, same order
         assert store_fingerprint(columnar) == store_fingerprint(per_tuple)
+
+    @pytest.mark.parametrize("arity", [2, 4])
+    def test_materialized_probe_matches_row_and_reference(self, arity):
+        """At join arity 2 and 4, with the trigger in every slot, the
+        columnar store materializes the row store's results in the row
+        store's order, and each probe's results are the reference join's
+        combinations through the trigger, in the reference's order."""
+        streams = ("A", "B", "C", "D")[:arity]
+        batches = synth_batches(200, key_range=8, streams=streams)
+        row_total, row_results = run_per_tuple(
+            fresh_store(streams=streams), batches, materialize=True)
+        col_total, col_results = run_columnar(
+            fresh_store(columnar=True, streams=streams), batches,
+            streams=streams, materialize=True)
+        assert col_total == row_total == len(row_results)
+        assert col_results == row_results
+
+        # reference: the join of the trigger with every earlier tuple of
+        # the other streams, trigger by trigger in arrival order
+        expected, seen = [], []
+        for __, tup in (pair for batch in batches for pair in batch):
+            probe = reference_join(
+                [t for t in seen if t.key == tup.key and t.stream != tup.stream]
+                + [tup], streams)
+            expected.extend(r.parts for r in probe)
+            seen.append(tup)
+        assert [r.parts for r in col_results] == expected
+        triggers = [max(r.parts, key=lambda t: t.seq) for r in col_results]
+        assert [r.ts for r in col_results] == [t.ts for t in triggers]
+        assert {t.stream for t in triggers} == set(streams)
+        assert {r.ident for r in col_results} == result_idents(
+            reference_join(seen, streams))
 
     def test_empty_batch_is_a_no_op(self):
         store = fresh_store(columnar=True)

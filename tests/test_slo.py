@@ -10,6 +10,9 @@ Covers the observability acceptance battery:
   pruning, spikes not double-counted across later windows;
 * cause attribution — overlapping adaptation windows scale to the
   budget instead of double-counting, and the decomposition sums to e2e;
+* grouped observation — a materialized batch records one weighted
+  observation per distinct trigger ts, byte-identical to one unit
+  observation per result;
 * mutation detection — forged ``slo_check`` inputs, dropped/duplicated
   ``slo.alert`` events and watermark regressions are all caught;
 * the zero-overhead contract — disabled runs are unperturbed;
@@ -21,14 +24,18 @@ import copy
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import AdaptationConfig, Deployment, StrategyName, Tracer
+from repro.engine.tuples import JoinResult
 from repro.obs import check_trace
 from repro.obs.ledger import DecisionLedger, check_ledger_trace, verify_replay
 from repro.obs.sketch import BUCKET_BOUNDS, LatencySketch
 from repro.obs.slo import (
     ADAPT_CAUSES,
     CAUSES,
+    EngineTracker,
     LatencyHub,
     SLOConfig,
     SLOMonitor,
@@ -287,6 +294,105 @@ class TestCauseAttribution:
         for cause in CAUSES:
             assert (fast.sketches[cause].to_bytes()
                     == slow.sketches[cause].to_bytes()), cause
+
+
+# ----------------------------------------------------------------------
+# Grouped observation of materialized batches
+# ----------------------------------------------------------------------
+_times = st.integers(0, 40).map(lambda n: n * 0.25)
+
+
+@st.composite
+def _cause_windows(draw):
+    """Per cause: sorted, possibly overlapping-across-causes intervals,
+    the last one optionally left open."""
+    windows = {}
+    for cause in ADAPT_CAUSES:
+        points = sorted(draw(st.lists(_times, max_size=6)))
+        pairs = list(zip(points[::2], points[1::2]))
+        if len(points) % 2:
+            pairs.append((points[-1], None))
+        windows[cause] = pairs
+    return windows
+
+
+@st.composite
+def _batches(draw):
+    """(t_run, credit, held, result ts list) batches; result ts come in
+    runs from a small pool, some after t_run (pre clips to 0)."""
+    batches = []
+    for __ in range(draw(st.integers(1, 5))):
+        t_run = draw(_times)
+        credit = t_run + draw(st.sampled_from([0.0, 0.01, 0.5]))
+        pool = draw(st.lists(_times, min_size=1, max_size=4))
+        runs = draw(st.lists(
+            st.tuples(st.sampled_from(pool), st.integers(1, 4)),
+            min_size=1, max_size=6,
+        ))
+        ts_list = [ts for ts, n in runs for __ in range(n)]
+        batches.append((t_run, credit, draw(st.booleans()), ts_list))
+    return batches
+
+
+def _tracker_with(windows):
+    tracker = LatencyHub().tracker("m1")
+    for cause, pairs in windows.items():
+        for start, end in pairs:
+            tracker.clock.begin(cause, start)
+            if end is not None:
+                tracker.clock.end(cause, end)
+    return tracker
+
+
+def _results(ts_list):
+    return [JoinResult(0, (), ts) for ts in ts_list]
+
+
+class TestGroupedObservation:
+    @settings(max_examples=150, deadline=None)
+    @given(windows=_cause_windows(), batches=_batches(),
+           commit_delay=st.sampled_from([0.0, 0.25, 3.0]))
+    def test_grouped_observe_matches_per_result_loop(self, windows, batches,
+                                                     commit_delay):
+        """One weighted observation per distinct trigger ts records exactly
+        what one unit observation per result records, for every cause,
+        directly and through hold + flush_pending (emit > credit)."""
+        grouped, reference = _tracker_with(windows), _tracker_with(windows)
+        commit = max(credit for __, credit, __, __ in batches) + commit_delay
+        for t_run, credit, held, ts_list in batches:
+            results = _results(ts_list)
+            emit = commit if held else credit
+            if held:
+                grouped.hold(t_run, credit, results, len(results), 0.0)
+            else:
+                grouped.observe(t_run, credit, emit, results=results,
+                                count=len(results))
+            for r in results:
+                reference._observe_one(r.ts, t_run, credit, emit, 1)
+        grouped.flush_pending(commit)
+        for cause in CAUSES:
+            assert (grouped.sketches[cause].to_bytes()
+                    == reference.sketches[cause].to_bytes()), cause
+
+    def test_one_observation_per_distinct_trigger_ts(self, monkeypatch):
+        """A batch with k distinct trigger ts makes exactly k weighted
+        observations, whatever the interleaving of its results."""
+        calls = []
+        observe_one = EngineTracker._observe_one
+
+        def counting(self, ts, t_run, credit, emit, weight):
+            calls.append((ts, weight))
+            observe_one(self, ts, t_run, credit, emit, weight)
+
+        monkeypatch.setattr(EngineTracker, "_observe_one", counting)
+        tracker = LatencyHub().tracker("m1")
+        ts_list = [1.0, 1.0, 2.0, 1.0, 3.0, 3.0, 2.0, 0.5]
+        tracker.observe(4.0, 4.5, 4.5, results=_results(ts_list),
+                        count=len(ts_list))
+        assert calls == [(1.0, 3), (2.0, 2), (3.0, 2), (0.5, 1)]
+        tracker.hold(4.0, 4.5, _results(ts_list), len(ts_list), 3.0)
+        tracker.flush_pending(5.0)
+        assert len(calls) == 8
 
 
 # ----------------------------------------------------------------------

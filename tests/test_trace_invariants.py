@@ -6,9 +6,10 @@ the protocol contracts.  These tests drive randomized schedules — spills,
 relocations, crashes, both integrated strategies — through full
 deployments and require zero violations, then *mutate* known-good traces
 to prove the checker actually catches each class of contract breach.
-Also covered: seed determinism (byte-identical JSONL), the
-tracing-enabled run being observationally identical to the disabled run,
-both export formats, and the bench CLI ``--trace`` flag.
+Also covered: multi-query traces (partitions are per query namespace),
+seed determinism (byte-identical JSONL), the tracing-enabled run being
+observationally identical to the disabled run, both export formats, and
+the bench CLI ``--trace`` flag.
 """
 
 import json
@@ -264,6 +265,89 @@ def test_checker_flags_double_merge_and_forgotten_spill():
 
     violations = synthetic(author)
     assert sum(1 for v in violations if v.check == "spill-cleanup") == 2
+
+
+# ----------------------------------------------------------------------
+# Multi-query traces: serving runtimes namespace their machines (q1:m1),
+# and partitions are per query
+# ----------------------------------------------------------------------
+
+
+def author_two_queries(t, *, q2_first_pid=0):
+    """Two queries placing the same pids, each relocating, spilling and
+    cleaning up on its own machines."""
+    t.event("deploy.assignment", machine="q1:m1", pids=(0, 1))
+    t.event("deploy.assignment", machine="q1:m2", pids=(2,))
+    t.event("deploy.assignment", machine="q2:m1", pids=(q2_first_pid, 1))
+    t.event("deploy.assignment", machine="q2:m2", pids=(2,))
+    span = t.begin_span("relocation", machine="q1:gc")
+    t.event("relocation.pack", machine="q1:m1", span=span, pids=(1,))
+    t.event("relocation.install", machine="q1:m2", span=span, pids=(1,))
+    t.end_span(span, status="aborted")
+    for machine in ("q1:m2", "q2:m1"):
+        s = t.begin_span("spill", machine=machine, pids=(1,), bytes=100)
+        t.end_span(s, duration=0.1)
+    for machine in ("q1:m2", "q2:m1"):
+        c = t.begin_span("cleanup", stage="")
+        t.event("cleanup.skip", span=c, pid=0, stage="", segments=0)
+        t.event("cleanup.merge", machine=machine, span=c, pid=1, stage="",
+                parts=2)
+        t.end_span(c, partitions=1)
+
+
+def test_checker_accepts_same_pid_in_two_query_namespaces():
+    """Equal pids on two queries' machines are different partitions: the
+    placements, the relocation and both cleanups check clean."""
+    assert synthetic(author_two_queries) == []
+
+
+def test_checker_flags_double_residency_within_one_namespace():
+    """Namespacing does not hide a real double residency: q2 placing pid
+    2 on both of its machines still fails, exactly once."""
+    violations = synthetic(
+        lambda t: author_two_queries(t, q2_first_pid=2)
+    )
+    assert [v.check for v in violations] == ["single-residency"]
+    assert "'q2:m2'" in violations[0].message
+
+
+def test_checker_matches_spill_and_cleanup_per_namespace():
+    """Another query's merge of the same pid does not discharge a spill."""
+    def author(t):
+        t.event("deploy.assignment", machine="q1:m1", pids=(0, 1))
+        t.event("deploy.assignment", machine="q2:m1", pids=(0, 1))
+        s = t.begin_span("spill", machine="q1:m1", pids=(0, 1), bytes=100)
+        t.end_span(s, duration=0.1)
+        for machine, pids in (("q1:m1", (0,)), ("q2:m1", (1,))):
+            c = t.begin_span("cleanup", stage="")
+            for pid in pids:
+                t.event("cleanup.merge", machine=machine, span=c, pid=pid,
+                        stage="", parts=2)
+            t.end_span(c, partitions=len(pids))
+
+    violations = synthetic(author)
+    assert [v.check for v in violations] == ["spill-cleanup"]
+    assert "q1:1 " in violations[0].message
+
+
+def test_cli_two_query_unfolded_trace_checks_clean(tmp_path):
+    """A real two-query unfolded run places the same pids on both
+    queries' machines; ``repro.obs check`` accepts its trace and ledger."""
+    from repro.bench.cli import main
+    from repro.obs.__main__ import main as obs_main
+
+    trace, ledger = tmp_path / "t.jsonl", tmp_path / "l.jsonl"
+    rc = main(["--strategy", "active_disk", "--workers", "2",
+               "--minutes", "0.5", "--threshold-kb", "40",
+               "--tuple-range", "400", "--queries", "2", "--fold", "off",
+               "--trace", str(trace), "--ledger", str(ledger)])
+    assert rc == 0
+    events = load_jsonl(trace)
+    assert {e.machine for e in events if e.name == "deploy.assignment"} == {
+        "q1:m1", "q1:m2", "q2:m1", "q2:m2"}
+    assert any(e.name == "spill" for e in events)
+    assert obs_main(["check", "--trace", str(trace),
+                     "--ledger", str(ledger)]) == 0
 
 
 # ----------------------------------------------------------------------
